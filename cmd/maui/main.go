@@ -25,7 +25,7 @@ func main() {
 	var (
 		server    = flag.String("server", "127.0.0.1:15001", "pbs-server address")
 		cfgPath   = flag.String("config", "", "Maui-style config file (Fig. 6 format)")
-		interval  = flag.Duration("interval", time.Second, "iteration interval")
+		interval  = flag.Duration("interval", time.Second, "iteration interval (a server exchange that takes over 8x this fails the cycle)")
 		protoFlag = flag.String("proto", "auto", "wire protocol: v1 (JSON), v2 (binary) or auto (negotiate v2, fall back to v1)")
 	)
 	flag.Parse()

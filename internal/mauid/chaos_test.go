@@ -122,3 +122,70 @@ func momSet(t *testing.T, srv *serverd.Server, n, cores int) []string {
 	t.Fatal("moms never registered")
 	return nil
 }
+
+// TestChaosSilentServerBoundsCycle: a server that accepts connections
+// but never answers must fail a cycle within the exchange bound
+// (8 × interval) instead of wedging RunOnce and, through it, Close;
+// once the path answers again the loop resumes scheduling.
+func TestChaosSilentServerBoundsCycle(t *testing.T) {
+	leak.Check(t)
+	srv, _ := externalClusterNoSched(t, 1, 8)
+	p := chaos.New(srv.Addr(), chaos.Options{})
+	if err := p.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	p.Blackhole(true)
+	const interval = 25 * time.Millisecond
+	bound := 8 * interval
+	slack := 2 * time.Second // scheduling delay on a loaded test host
+
+	for _, mode := range []proto.Mode{proto.ModeAuto, proto.ModeV1, proto.ModeV2} {
+		d := New(p.Addr(), core.New(core.Options{}, 0), interval)
+		d.Proto = mode
+		t0 := time.Now()
+		if _, _, err := d.RunOnce(); err == nil {
+			t.Fatalf("%s: RunOnce against a silent server succeeded", mode)
+		}
+		if el := time.Since(t0); el > bound+slack {
+			t.Fatalf("%s: RunOnce took %v to fail, bound %v", mode, el, bound)
+		}
+	}
+
+	d := New(p.Addr(), core.New(core.Options{}, 0), interval)
+	d.Start()
+	waitBlackholed(t, p, p.Stats().Blackholed+1) // the loop is inside a silent exchange
+	t0 := time.Now()
+	d.Close()
+	if el := time.Since(t0); el > bound+slack {
+		t.Fatalf("Close took %v while the server was silent, bound %v", el, bound)
+	}
+
+	d = New(p.Addr(), core.New(core.Options{}, 0), interval)
+	d.Start()
+	t.Cleanup(d.Close)
+	// A cycle opens at most two connections (a handshake and its v1
+	// re-dial), so a third means a cycle failed and the loop retried.
+	waitBlackholed(t, p, p.Stats().Blackholed+3)
+	p.Blackhole(false)
+	p.SeverAll() // drop the held connections so nothing lingers
+	id, err := srv.QSub(proto.JobSpec{
+		Name: "after", User: "u", Cores: 8, WallSecs: 60, Script: "sleep:20ms",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, srv, id, "completed", 15*time.Second)
+}
+
+// waitBlackholed waits until the proxy has held n connections silent.
+func waitBlackholed(t *testing.T, p *chaos.Proxy, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for p.Stats().Blackholed < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("proxy held %d connections, want %d", p.Stats().Blackholed, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}

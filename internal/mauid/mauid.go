@@ -37,6 +37,8 @@ type Daemon struct {
 
 // New creates a daemon that schedules the server at srvAddr every
 // interval (plus immediately after any iteration that made progress).
+// Each pull and commit must finish within 8 × interval, the loop's
+// backoff cap, or the cycle fails and is retried.
 func New(srvAddr string, sched *core.Scheduler, interval time.Duration) *Daemon {
 	if interval <= 0 {
 		interval = time.Second
@@ -60,7 +62,7 @@ func (d *Daemon) Scheduler() *core.Scheduler { return d.sched }
 func (d *Daemon) Start() {
 	go func() {
 		defer close(d.done)
-		pol := backoff.Policy{Max: d.interval * 8}
+		pol := backoff.Policy{Max: d.ioLimit()}
 		rng := backoff.NewRand("mauid")
 		failures := 0
 		t := time.NewTimer(d.interval) //lint:wallclock the external scheduler polls the server in real time
@@ -123,13 +125,38 @@ func (d *Daemon) RunOnce() (applied, skipped int, err error) {
 	return resp.Applied, resp.Skipped, nil
 }
 
-func (d *Daemon) pull() (*proto.SchedState, error) {
-	c, err := proto.DialMode(d.srvAddr, d.Proto)
+// ioLimit bounds one exchange with the server — dial, handshake and
+// reply together — so a server that accepts but never answers fails
+// the cycle instead of wedging RunOnce and, through it, Close. It is
+// the loop's backoff cap (8 × interval): an exchange never waits
+// longer than the slowest retry cadence.
+func (d *Daemon) ioLimit() time.Duration { return 8 * d.interval }
+
+// request runs one request/reply exchange on a fresh connection within
+// ioLimit. The dial and handshake get half the budget (a ModeAuto
+// handshake that times out still re-dials plain v1), the reply the
+// rest.
+//
+//lint:wallclock server I/O deadlines are genuine wall-clock protocol timeouts
+func (d *Daemon) request(t proto.MsgType, payload any) (*proto.Envelope, error) {
+	limit := d.ioLimit()
+	deadline := time.Now().Add(limit)
+	c, err := proto.DialModeTimeout(d.srvAddr, d.Proto, limit/2)
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-	env, err := c.Request(proto.TSchedPull, nil)
+	left := time.Until(deadline)
+	if left <= 0 {
+		return nil, fmt.Errorf("mauid: %s: no reply within %v", t, limit)
+	}
+	c.SetReadTimeout(left)
+	c.SetWriteTimeout(left)
+	return c.Request(t, payload)
+}
+
+func (d *Daemon) pull() (*proto.SchedState, error) {
+	env, err := d.request(proto.TSchedPull, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -144,12 +171,7 @@ func (d *Daemon) pull() (*proto.SchedState, error) {
 }
 
 func (d *Daemon) commit(c proto.SchedCommit) (*proto.SchedCommitResp, error) {
-	conn, err := proto.DialMode(d.srvAddr, d.Proto)
-	if err != nil {
-		return nil, err
-	}
-	defer conn.Close()
-	env, err := conn.Request(proto.TSchedCommit, c)
+	env, err := d.request(proto.TSchedCommit, c)
 	if err != nil {
 		return nil, err
 	}
@@ -235,16 +257,28 @@ func newMirror(st *proto.SchedState) (*mirror, error) {
 			Backfilled:     sj.Backfilled,
 		}
 	}
-	byID := map[int]*job.Job{}
+	// Only jobs a pending dyn request names need an id index. A later
+	// entry wins, so an id listed in both Queued and Active resolves
+	// to the active job.
+	byID := make(map[int]*job.Job, len(st.Dyn))
+	for _, dr := range st.Dyn {
+		byID[dr.JobID] = nil
+	}
+	m.queued = make([]*job.Job, 0, len(st.Queued))
 	for _, sj := range st.Queued {
 		j := jobOf(sj)
 		m.queued = append(m.queued, j)
-		byID[sj.ID] = j
+		if _, ok := byID[sj.ID]; ok {
+			byID[sj.ID] = j
+		}
 	}
+	m.active = make([]*job.Job, 0, len(st.Active))
 	for _, sj := range st.Active {
 		j := jobOf(sj)
 		m.active = append(m.active, j)
-		byID[sj.ID] = j
+		if _, ok := byID[sj.ID]; ok {
+			byID[sj.ID] = j
+		}
 	}
 	dyn := append([]proto.SchedDynReq(nil), st.Dyn...)
 	sort.Slice(dyn, func(i, k int) bool { return dyn[i].Seq < dyn[k].Seq })

@@ -222,3 +222,24 @@ func TestMirrorEpochs(t *testing.T) {
 		t.Errorf("after grant: epochs = %d/%d, want 9/8 (dyn is state-class)", m.StateEpoch(), m.QueueEpoch())
 	}
 }
+
+// TestMirrorDynIndex: a dyn request links to the job it names, the
+// active entry when an id appears in both lists, and a request naming
+// no job in the snapshot is dropped.
+func TestMirrorDynIndex(t *testing.T) {
+	leak.Check(t)
+	st := &proto.SchedState{
+		Nodes:  []proto.NodeStatus{{Name: "n0", Cores: 8, State: "up"}},
+		Queued: []proto.SchedJob{{ID: 1, State: "queued", Cores: 1}, {ID: 2, State: "queued", Cores: 1}},
+		Active: []proto.SchedJob{{ID: 2, State: "running", Cores: 2, Evolving: true}},
+		Dyn:    []proto.SchedDynReq{{JobID: 9, Cores: 1, Seq: 0}, {JobID: 2, Cores: 1, Seq: 1}},
+	}
+	m, err := newMirror(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn := m.DynRequests()
+	if len(dyn) != 1 || dyn[0].Job != m.ActiveJobs()[0] {
+		t.Fatalf("dyn = %+v, want one request on the active job 2", dyn)
+	}
+}

@@ -2,6 +2,8 @@ package proto
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -322,4 +324,64 @@ func TestRoundTripV2AllocsRegression(t *testing.T) {
 	if allocs > 4 {
 		t.Errorf("v2 round trip allocates %.1f times, want <= 4 (v1: ~22)", allocs)
 	}
+}
+
+// deepState builds the deep-queue snapshot: n queued whole-node jobs
+// from 16 users against a full 16-node machine.
+func deepState(n int) SchedState {
+	st := SchedState{NowMS: 987654321, Serial: 77}
+	for i := 0; i < 16; i++ {
+		st.Nodes = append(st.Nodes, NodeStatus{Name: fmt.Sprintf("mom%02d", i), Cores: 8, Used: 8, State: "up"})
+		st.Active = append(st.Active, SchedJob{
+			ID: i + 1, Name: "deep", User: fmt.Sprintf("u%d", i%16), State: "running",
+			Cores: 8, WallSecs: 3600, SubmitMS: 1000, StartMS: 2000,
+		})
+	}
+	for i := 0; i < n; i++ {
+		st.Queued = append(st.Queued, SchedJob{
+			ID: 17 + i, Name: "deep", User: fmt.Sprintf("u%d", i*7%16), State: "queued",
+			Cores: 8, WallSecs: int64(600 + i*37%86400), SubmitMS: int64(5000 + i),
+		})
+	}
+	return st
+}
+
+// BenchmarkSchedStateCodec50k measures one encode plus one decode of a
+// 50k-job scheduler snapshot (about 9 MB of JSON): "direct" is the
+// codec Send and Decode use, "stdlib" the encoding/json round trip it
+// replaces, as the comparator.
+func BenchmarkSchedStateCodec50k(b *testing.B) {
+	st := deepState(50_000)
+	want, err := json.Marshal(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("direct", func(b *testing.B) {
+		b.SetBytes(int64(len(want)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var buf bytes.Buffer
+			if ok, err := appendSchedState(&buf, &st); !ok || err != nil {
+				b.Fatal(ok, err)
+			}
+			var got SchedState
+			if !decodeSchedState(buf.Bytes(), &got) || len(got.Queued) != len(st.Queued) {
+				b.Fatal("direct decoder refused its own encoding")
+			}
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		b.SetBytes(int64(len(want)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			enc, err := json.Marshal(&st)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var got SchedState
+			if err := json.Unmarshal(enc, &got); err != nil || len(got.Queued) != len(st.Queued) {
+				b.Fatal(err)
+			}
+		}
+	})
 }

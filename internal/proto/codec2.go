@@ -27,13 +27,20 @@
 // length-prefixed. Every other payload rides as the same compact JSON
 // bytes v1 would produce, so nothing is unrepresentable in v2 and the
 // two codecs decode to identical structs (the differential fuzz
-// target pins this).
+// target pins this). The scheduler snapshot (SchedState) is one of
+// those JSON payloads in both versions, but a direct codec
+// (schedstate.go) writes and reads it instead of encoding/json's
+// reflection: the encoder emits exactly json.Marshal's bytes, and the
+// decoder takes only that canonical form, handing anything else to
+// json.Unmarshal.
+//
+// A frame too large for the receive pool keeps its read buffer as the
+// envelope's payload; pooled buffers are copied out and recycled.
 package proto
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net"
@@ -264,10 +271,9 @@ func (c *Conn) sendV2(t MsgType, payload any) error {
 			sb.buf.WriteByte(payloadNone)
 		} else {
 			sb.buf.WriteByte(payloadJSON)
-			if err := sb.enc.Encode(payload); err != nil {
-				return fmt.Errorf("proto: marshal %s: %w", t, err)
+			if err := sb.encodeJSON(t, payload); err != nil {
+				return err
 			}
-			sb.buf.Truncate(sb.buf.Len() - 1) // Encode appends '\n'
 		}
 	}
 	frame := sb.buf.Bytes()
@@ -298,6 +304,15 @@ func (c *Conn) recvV2() (*Envelope, error) {
 	if n > maxFrame {
 		return nil, fmt.Errorf("proto: frame of %d bytes exceeds limit", n)
 	}
+	if n > pooledBufLimit {
+		// Too large to pool: the envelope takes this buffer over
+		// instead of copying the payload out of it a second time.
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(c.c, buf); err != nil {
+			return nil, err
+		}
+		return parseV2(buf, true)
+	}
 	bp := recvPool.Get().(*[]byte)
 	buf := *bp
 	if cap(buf) < int(n) {
@@ -306,15 +321,13 @@ func (c *Conn) recvV2() (*Envelope, error) {
 		buf = buf[:n]
 	}
 	defer func() {
-		if cap(buf) <= pooledBufLimit {
-			*bp = buf[:0]
-		}
+		*bp = buf[:0]
 		recvPool.Put(bp)
 	}()
 	if _, err := io.ReadFull(c.c, buf); err != nil {
 		return nil, err
 	}
-	return parseV2(buf)
+	return parseV2(buf, false)
 }
 
 // readFrameLen reads the frame-length uvarint byte by byte (through
@@ -339,9 +352,10 @@ func (c *Conn) readFrameLen() (uint64, error) {
 	return 0, fmt.Errorf("proto: malformed v2 frame length")
 }
 
-// parseV2 decodes a frame body into an envelope. The payload bytes
-// are copied out so the pooled buffer can be recycled.
-func parseV2(buf []byte) (*Envelope, error) {
+// parseV2 decodes a frame body into an envelope. Unless the caller
+// hands buf over (owned), the payload bytes are copied out so the
+// pooled buffer can be recycled.
+func parseV2(buf []byte, owned bool) (*Envelope, error) {
 	if len(buf) < 2 {
 		return nil, fmt.Errorf("proto: short v2 frame (%d bytes)", len(buf))
 	}
@@ -372,16 +386,24 @@ func parseV2(buf []byte) (*Envelope, error) {
 		if len(pl) == 0 {
 			return nil, fmt.Errorf("proto: empty v2 JSON payload")
 		}
-		env.Payload = append(json.RawMessage(nil), pl...)
+		env.Payload = keep(pl, owned)
 	case payloadBin:
 		if len(pl) < 2 { // codec id + at least one field byte
 			return nil, fmt.Errorf("proto: short v2 binary payload")
 		}
-		env.bin = append([]byte(nil), pl...)
+		env.bin = keep(pl, owned)
 	default:
 		return nil, fmt.Errorf("proto: unknown v2 payload kind %d", kind)
 	}
 	return env, nil
+}
+
+// keep returns b itself when the caller owns its buffer, else a copy.
+func keep(b []byte, owned bool) []byte {
+	if owned {
+		return b
+	}
+	return append([]byte(nil), b...)
 }
 
 // --- binary payload codecs ---

@@ -123,3 +123,73 @@ func jsonCoerce(t *testing.T, s string) string {
 	}
 	return out.S
 }
+
+// TestRecvV2BackToBackFrames: two frames received back to back stay
+// independent whether the buffer is pooled (payload copied out, buffer
+// reused for the next frame) or too large to pool (the envelope takes
+// the buffer over instead of copying the payload a second time).
+func TestRecvV2BackToBackFrames(t *testing.T) {
+	for _, size := range []int{pooledBufLimit / 4, 2 * pooledBufLimit} {
+		ca, peer := v2Pair(t)
+		cb := NewConn(peer)
+		cb.ver.Store(V2)
+		first, second := strings.Repeat("a", size), strings.Repeat("b", size)
+		sendErr := make(chan error, 1)
+		go func() {
+			err := cb.Send(TQSub, first)
+			if err == nil {
+				err = cb.Send(TQSub, second)
+			}
+			sendErr <- err
+		}()
+		e1, err := ca.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e2, err := ca.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := <-sendErr; err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			env  *Envelope
+			want string
+		}{{e1, first}, {e2, second}} {
+			var got string
+			if err := c.env.Decode(&got); err != nil {
+				t.Fatal(err)
+			}
+			if got != c.want {
+				t.Fatalf("%d-byte payload came back as %d bytes starting %q", len(c.want), len(got), got[:8])
+			}
+		}
+	}
+}
+
+// TestParseV2Ownership: a pooled buffer is copied out of (the pool
+// reuses it for the next frame); an owned one is taken over as is.
+func TestParseV2Ownership(t *testing.T) {
+	frame := func() []byte {
+		return append([]byte{tagID[TQSub], payloadJSON}, `"payload"`...)
+	}
+	buf := frame()
+	env, err := parseV2(buf, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range buf {
+		buf[i] = 'x'
+	}
+	if string(env.Payload) != `"payload"` {
+		t.Fatalf("pooled frame payload changed with its buffer: %q", env.Payload)
+	}
+	buf = frame()
+	if env, err = parseV2(buf, true); err != nil {
+		t.Fatal(err)
+	}
+	if &env.Payload[0] != &buf[2] {
+		t.Fatal("owned frame payload was copied")
+	}
+}

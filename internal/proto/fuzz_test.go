@@ -133,11 +133,12 @@ func FuzzV2MalformedFrame(f *testing.F) {
 	})
 }
 
-// FuzzCodecDifferential proves the tentpole's equivalence claim: every
+// FuzzCodecDifferential proves the v2 codec's equivalence claim: every
 // hot payload struct must decode to the identical value whether it
 // travelled through the v1 JSON framing or the v2 binary framing —
 // including invalid-UTF-8 coercion, negative and 64-bit ints, and
-// empty-slice/omitempty parity.
+// empty-slice/omitempty parity. The scheduler snapshot rides as JSON
+// in both versions through its direct codec and must agree as well.
 func FuzzCodecDifferential(f *testing.F) {
 	f.Add("mom-001", int64(7), int64(1723), 42, "", 8, 2, 4, int64(30), true, "busy", "127.0.0.1:15002", 16, uint8(2), uint8(3))
 	f.Add("\xff\xfe", int64(-1), int64(0), -9, "exit 1 \xed\xa0\x80", 0, 0, 0, int64(0), false, "", "", -1, uint8(0), uint8(0))
@@ -164,6 +165,7 @@ func FuzzCodecDifferential(f *testing.F) {
 			{proto.TDynGet, &proto.DynGetReq{JobID: jobID, Cores: cores, Nodes: nnodes, PPN: ppn, TimeoutSecs: timeoutSecs}},
 			{proto.TDynGetResp, &proto.DynGetResp{JobID: jobID, Granted: granted, Reason: reason, Hosts: hosts}},
 			{proto.TRegister, &proto.RegisterReq{Node: node, Addr: addr, Cores: cores, Jobs: jobs}},
+			{proto.TSchedState, schedStateOf(node, reason, addr, seq, sent, jobID, cores, nnodes, ppn, timeoutSecs, granted, int(nHosts), int(nJobs))},
 		}
 		for _, p := range payloads {
 			v1 := tripOnce(t, proto.ModeV1, p.typ, p.val)
@@ -173,6 +175,34 @@ func FuzzCodecDifferential(f *testing.F) {
 			}
 		}
 	})
+}
+
+// schedStateOf builds a scheduler snapshot from the differential
+// fuzzer's fields; nNodes and nJobs also pick nil versus empty lists.
+func schedStateOf(node, user, state string, now, serial int64, jobID, cores, nnodes, ppn int,
+	deadline int64, flag bool, nNodes, nJobs int) *proto.SchedState {
+	st := &proto.SchedState{NowMS: now, Serial: uint64(serial)}
+	if nNodes%4 > 0 {
+		st.Nodes = make([]proto.NodeStatus, nNodes%4-1)
+		for i := range st.Nodes {
+			st.Nodes[i] = proto.NodeStatus{Name: node, Cores: cores, Used: i, State: state}
+		}
+	}
+	if nJobs%5 > 0 {
+		st.Queued = make([]proto.SchedJob, nJobs%5-1)
+		for i := range st.Queued {
+			st.Queued[i] = proto.SchedJob{
+				ID: jobID + i, Name: node, User: user, Group: state, State: "queued", Cores: cores,
+				DynCores: nnodes, WallSecs: deadline, SubmitMS: now, StartMS: -now, SysPrio: serial, Evolving: flag,
+			}
+		}
+		st.Active = []proto.SchedJob{{ID: jobID, Name: user, State: "running", Backfilled: !flag}}
+		st.Dyn = []proto.SchedDynReq{
+			{JobID: jobID, Seq: 1},
+			{JobID: jobID, Cores: cores, Nodes: nnodes, PPN: ppn, Seq: ppn, DeadlineMS: deadline},
+		}
+	}
+	return st
 }
 
 // tripOnce round-trips payload through a fresh pair at the given mode

@@ -218,26 +218,52 @@ var sendPool = sync.Pool{New: func() any {
 // pathologically large frames (up to maxFrame) are not worth pinning.
 const pooledBufLimit = 1 << 16
 
-// writeTag appends the JSON string encoding of a message type. Plain
-// ASCII tags — every tag this package defines — take the direct path;
-// anything needing escaping or UTF-8 coercion falls back to
-// encoding/json so the bytes match the seed codec exactly (the fuzz
-// corpus pins invalid-UTF-8 tag coercion).
-func writeTag(buf *bytes.Buffer, t MsgType) error {
-	for i := 0; i < len(t); i++ {
-		b := t[i]
-		if b < 0x20 || b >= 0x7f || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
-			enc, err := json.Marshal(string(t))
+// appendString appends the JSON string encoding of s. Plain ASCII —
+// every tag this package defines and the common case for names —
+// takes the direct path; anything needing escaping or UTF-8 coercion
+// falls back to encoding/json so the bytes match the seed codec exactly
+// (the fuzz corpus pins invalid-UTF-8 tag coercion).
+func appendString(b []byte, s string) ([]byte, error) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, err := json.Marshal(s)
 			if err != nil {
-				return err
+				return b, err
 			}
-			buf.Write(enc)
-			return nil
+			return append(b, enc...), nil
 		}
 	}
-	buf.WriteByte('"')
-	buf.WriteString(string(t))
-	buf.WriteByte('"')
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"'), nil
+}
+
+// writeTag appends the JSON string encoding of a message type.
+func writeTag(buf *bytes.Buffer, t MsgType) error {
+	b, err := appendString(buf.AvailableBuffer(), string(t))
+	if err != nil {
+		return err
+	}
+	buf.Write(b)
+	return nil
+}
+
+// encodeJSON appends payload's compact JSON encoding to the pooled
+// buffer: SchedState through its direct codec, everything else through
+// the pooled encoding/json encoder. Both write the bytes json.Marshal
+// would.
+func (sb *sendBuf) encodeJSON(t MsgType, payload any) error {
+	ok, err := appendSchedState(&sb.buf, payload)
+	if !ok {
+		err = sb.enc.Encode(payload)
+		if err == nil {
+			sb.buf.Truncate(sb.buf.Len() - 1) // Encode appends '\n'
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("proto: marshal %s: %w", t, err)
+	}
 	return nil
 }
 
@@ -264,10 +290,9 @@ func (c *Conn) Send(t MsgType, payload any) error {
 	}
 	if payload != nil {
 		sb.buf.WriteString(`,"payload":`)
-		if err := sb.enc.Encode(payload); err != nil {
-			return fmt.Errorf("proto: marshal %s: %w", t, err)
+		if err := sb.encodeJSON(t, payload); err != nil {
+			return err
 		}
-		sb.buf.Truncate(sb.buf.Len() - 1) // Encode appends '\n'
 	}
 	sb.buf.WriteByte('}')
 	frame := sb.buf.Bytes()
@@ -340,13 +365,19 @@ func (c *Conn) Recv() (*Envelope, error) {
 
 // Decode unmarshals an envelope payload into dst. JSON payloads merge
 // into dst (absent fields keep their values); v2 binary payloads
-// assign every field.
+// assign every field. A zero *SchedState first tries the direct
+// snapshot decoder, which accepts only the canonical bytes Send writes
+// and produces exactly what json.Unmarshal would; any other input (or
+// a non-zero dst, which must merge) goes to json.Unmarshal.
 func (e *Envelope) Decode(dst any) error {
 	if len(e.bin) > 0 {
 		return decodeBinary(e.bin, dst)
 	}
 	if len(e.Payload) == 0 {
 		return fmt.Errorf("proto: %s has no payload", e.Type)
+	}
+	if st, ok := dst.(*SchedState); ok && st != nil && st.isZero() && decodeSchedState(e.Payload, st) {
+		return nil
 	}
 	return json.Unmarshal(e.Payload, dst)
 }

@@ -2,6 +2,7 @@ package serverd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -237,8 +238,18 @@ func (r *serverRM) Preempt(j *job.Job) error {
 func (s *Server) snapshot() proto.SchedState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := proto.SchedState{NowMS: int64(s.now()), Serial: s.serial}
-	for _, n := range s.cl.Nodes() {
+	nodes := s.cl.Nodes()
+	active := (*serverRM)(s).ActiveJobs()
+	// Presized lists keep growslice out of the s.mu hold; an empty one
+	// stays nil so the wire still reads null.
+	st := proto.SchedState{
+		NowMS: int64(s.now()), Serial: s.serial,
+		Nodes:  slices.Grow([]proto.NodeStatus(nil), len(nodes)),
+		Queued: slices.Grow([]proto.SchedJob(nil), len(s.queued)),
+		Active: slices.Grow([]proto.SchedJob(nil), len(active)),
+		Dyn:    slices.Grow([]proto.SchedDynReq(nil), len(s.dyn)),
+	}
+	for _, n := range nodes {
 		st.Nodes = append(st.Nodes, proto.NodeStatus{
 			Name: n.Name, Cores: n.Cores, Used: n.Used(), State: n.State.String(),
 		})
@@ -256,7 +267,7 @@ func (s *Server) snapshot() proto.SchedState {
 	for _, j := range s.queued {
 		st.Queued = append(st.Queued, conv(j))
 	}
-	for _, j := range (*serverRM)(s).ActiveJobs() {
+	for _, j := range active {
 		st.Active = append(st.Active, conv(j))
 	}
 	for _, r := range s.dyn {
