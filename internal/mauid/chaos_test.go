@@ -89,7 +89,7 @@ func TestChaosSchedulerRestart(t *testing.T) {
 
 // externalClusterNoSched is externalCluster without the mauid, for
 // tests that wire their own daemon (e.g. through a chaos proxy).
-func externalClusterNoSched(t *testing.T, n, cores int) (*serverd.Server, []string) {
+func externalClusterNoSched(t testing.TB, n, cores int) (*serverd.Server, []string) {
 	t.Helper()
 	srv := serverd.New(serverd.Options{Sched: nil})
 	if err := srv.Start("127.0.0.1:0"); err != nil {
@@ -101,7 +101,7 @@ func externalClusterNoSched(t *testing.T, n, cores int) (*serverd.Server, []stri
 }
 
 // momSet starts n moms against srv and waits for registration.
-func momSet(t *testing.T, srv *serverd.Server, n, cores int) []string {
+func momSet(t testing.TB, srv *serverd.Server, n, cores int) []string {
 	t.Helper()
 	names := make([]string, n)
 	for i := 0; i < n; i++ {

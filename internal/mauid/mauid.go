@@ -6,10 +6,15 @@
 // with the exact same core.Scheduler the simulator uses, and commits
 // its decisions (sched.commit). The server re-validates every action,
 // so a commit computed on a stale snapshot degrades gracefully.
+//
+// The daemon keeps the server's queue between cycles and pulls it as a
+// delta: the jobs removed and added since the serial it last saw.
+// Nodes, running jobs and dynamic requests are few and come whole.
 package mauid
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,6 +38,16 @@ type Daemon struct {
 	// proto.Mode); the zero value negotiates automatically. Set before
 	// Start.
 	Proto proto.Mode
+
+	// queue is the server's queue as of serial since of server
+	// incarnation, in server order. since 0 means nothing is kept and
+	// the next pull is full.
+	queue       []*job.Job //schedlint:confined RunOnce only the goroutine running RunOnce (the loop, or a caller that never Starts) touches the kept queue
+	since       uint64     //schedlint:confined RunOnce kept-queue bookkeeping, as queue
+	incarnation uint64     //schedlint:confined RunOnce kept-queue bookkeeping, as queue
+	// fullPulls makes every pull a full one, the reference the
+	// differential tests and benchmarks compare deltas against.
+	fullPulls bool
 }
 
 // New creates a daemon that schedules the server at srvAddr every
@@ -106,15 +121,11 @@ func (d *Daemon) Close() {
 // RunOnce performs a single pull→plan→commit cycle and returns how
 // many actions the server applied and skipped.
 func (d *Daemon) RunOnce() (applied, skipped int, err error) {
-	state, err := d.pull()
+	state, mirror, err := d.sync()
 	if err != nil {
 		return 0, 0, err
 	}
-	mirror, err := newMirror(state)
-	if err != nil {
-		return 0, 0, err
-	}
-	d.sched.Recycle(d.sched.Iterate(sim.Time(state.NowMS), mirror))
+	d.plan(state, mirror)
 	if len(mirror.actions) == 0 {
 		return 0, 0, nil
 	}
@@ -123,6 +134,81 @@ func (d *Daemon) RunOnce() (applied, skipped int, err error) {
 		return 0, 0, err
 	}
 	return resp.Applied, resp.Skipped, nil
+}
+
+// sync pulls the state, brings the kept queue up to date, and builds
+// the cycle's mirror from it. A reply that cannot be applied drops the
+// kept queue, so the next pull is full.
+func (d *Daemon) sync() (*proto.SchedState, *mirror, error) {
+	state, err := d.pull()
+	if err != nil {
+		return nil, nil, err
+	}
+	var m *mirror
+	restorable, err := d.applyQueue(state)
+	if err == nil {
+		// The mirror's starts remove jobs from its queue; the kept
+		// one changes only with the server's.
+		m, err = buildMirror(state, slices.Clone(d.queue))
+	}
+	if err != nil || !restorable {
+		// A job settle cannot restore is planned on once, then pulled
+		// again.
+		d.forget()
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return state, m, nil
+}
+
+// applyQueue replaces the kept queue with a full reply's, or drops a
+// delta's removed jobs and appends its added ones. It reports whether
+// every new job was pulled in the state settle restores (queued, not
+// backfilled), which a queued job on the server always is.
+func (d *Daemon) applyQueue(st *proto.SchedState) (restorable bool, err error) {
+	if st.Since != 0 && (st.Since != d.since || st.Incarnation != d.incarnation) {
+		return false, fmt.Errorf("mauid: delta against serial %d of incarnation %d, have %d of %d",
+			st.Since, st.Incarnation, d.since, d.incarnation)
+	}
+	added, err := jobsOf(st.Queued)
+	if err != nil {
+		return false, err
+	}
+	if st.Since == 0 {
+		d.queue = added
+	} else {
+		for _, id := range st.Removed {
+			i := slices.IndexFunc(d.queue, func(j *job.Job) bool { return int(j.ID) == id })
+			if i < 0 {
+				return false, fmt.Errorf("mauid: delta removes job %d, which is not queued", id)
+			}
+			d.queue = slices.Delete(d.queue, i, i+1)
+		}
+		d.queue = append(d.queue, added...)
+	}
+	d.since, d.incarnation = st.Serial, st.Incarnation
+	for _, j := range added {
+		if j.State != job.Queued || j.Backfilled {
+			return false, nil
+		}
+	}
+	return true, nil
+}
+
+// plan runs one scheduling iteration on the mirror, which records the
+// decisions as commit actions, then returns the kept jobs it touched to
+// their pulled state.
+func (d *Daemon) plan(st *proto.SchedState, m *mirror) {
+	d.sched.Recycle(d.sched.Iterate(sim.Time(st.NowMS), m))
+	if !m.settle() {
+		d.forget()
+	}
+}
+
+// forget drops the kept queue; the next pull is full.
+func (d *Daemon) forget() {
+	d.queue, d.since, d.incarnation = nil, 0, 0
 }
 
 // ioLimit bounds one exchange with the server — dial, handshake and
@@ -156,7 +242,11 @@ func (d *Daemon) request(t proto.MsgType, payload any) (*proto.Envelope, error) 
 }
 
 func (d *Daemon) pull() (*proto.SchedState, error) {
-	env, err := d.request(proto.TSchedPull, nil)
+	req := proto.SchedPull{Since: d.since, Incarnation: d.incarnation}
+	if d.fullPulls {
+		req = proto.SchedPull{}
+	}
+	env, err := d.request(proto.TSchedPull, req)
 	if err != nil {
 		return nil, err
 	}
@@ -182,14 +272,18 @@ func (d *Daemon) commit(c proto.SchedCommit) (*proto.SchedCommitResp, error) {
 	return &resp, nil
 }
 
-// mirror implements core.ResourceManager over a snapshot: decisions
-// mutate only the local mirror and are recorded as commit actions. It
-// also implements core.ChangeTracker — epochs are seeded from the
-// pulled snapshot serial and advance with the mirror's own mutations —
-// so the scheduler's epoch machinery sees an honest tracker. The skip
-// and order caches stay naturally cold across cycles (every RunOnce
-// builds a fresh mirror, and both caches key on RM identity), which is
-// exactly right: a new pull is by definition a new world.
+// mirror implements core.ResourceManager over a pulled state:
+// decisions mutate only the local mirror and are recorded as commit
+// actions. It also implements core.ChangeTracker — epochs are seeded
+// from the pulled serial and advance with the mirror's own mutations —
+// so the scheduler's epoch machinery sees an honest tracker.
+//
+// Every RunOnce builds a fresh mirror, and both the skip and the order
+// cache key on RM identity, so they stay cold across cycles: a new
+// pull is a new world. Only the queued job objects carry over, from
+// the daemon's kept queue; nodes, running jobs and dyn requests are
+// built from each pull. The mirror handed to Iterate equals the one a
+// full snapshot builds (newMirror), field for field and in order.
 type mirror struct {
 	cl      *cluster.Cluster
 	queued  []*job.Job        //schedlint:epoch-guarded by bumpQueue
@@ -198,6 +292,11 @@ type mirror struct {
 	serial  uint64
 	qserial uint64
 	actions []proto.SchedAction
+	// tried lists the queued jobs the cycle tried to start; keep is
+	// false when the cycle may change a queued job beyond what settle
+	// restores.
+	tried []*job.Job
+	keep  bool
 }
 
 // bump advances the state epoch.
@@ -222,8 +321,19 @@ func (m *mirror) QueueEpoch() uint64 { return m.qserial }
 // snapshot's per-node usage in the mirror cluster.
 const mirrorFillID = job.ID(1 << 30)
 
+// newMirror builds a mirror from a full snapshot.
 func newMirror(st *proto.SchedState) (*mirror, error) {
-	m := &mirror{cl: cluster.New(0, 0), serial: st.Serial, qserial: st.Serial}
+	queued, err := jobsOf(st.Queued)
+	if err != nil {
+		return nil, err
+	}
+	return buildMirror(st, queued)
+}
+
+// buildMirror builds a mirror over queued, the queue in server order,
+// and the nodes, running jobs and dyn requests of st.
+func buildMirror(st *proto.SchedState, queued []*job.Job) (*mirror, error) {
+	m := &mirror{cl: cluster.New(0, 0), queued: queued, serial: st.Serial, qserial: st.Serial, keep: true}
 	for i, n := range st.Nodes {
 		node := m.cl.AddNode(n.Name, n.Cores)
 		if n.State != "up" {
@@ -238,46 +348,36 @@ func newMirror(st *proto.SchedState) (*mirror, error) {
 			}
 		}
 	}
-	jobOf := func(sj proto.SchedJob) *job.Job {
-		class := job.Rigid
-		if sj.Evolving {
-			class = job.Evolving
-		}
-		st, _ := parseState(sj.State)
-		return &job.Job{
-			ID:    job.ID(sj.ID),
-			Name:  sj.Name,
-			Cred:  job.Credentials{User: sj.User, Group: sj.Group},
-			Class: class, Cores: sj.Cores, DynCores: sj.DynCores,
-			Walltime:       sim.Duration(sj.WallSecs) * sim.Second,
-			SubmitTime:     sim.Time(sj.SubmitMS),
-			StartTime:      sim.Time(sj.StartMS),
-			State:          st,
-			SystemPriority: sj.SysPrio,
-			Backfilled:     sj.Backfilled,
-		}
+	active, err := jobsOf(st.Active)
+	if err != nil {
+		return nil, err
 	}
+	m.active = active
 	// Only jobs a pending dyn request names need an id index. A later
-	// entry wins, so an id listed in both Queued and Active resolves
-	// to the active job.
+	// entry wins, and active jobs come after queued ones, so an id
+	// listed in both resolves to the active job.
 	byID := make(map[int]*job.Job, len(st.Dyn))
 	for _, dr := range st.Dyn {
 		byID[dr.JobID] = nil
 	}
-	m.queued = make([]*job.Job, 0, len(st.Queued))
-	for _, sj := range st.Queued {
-		j := jobOf(sj)
-		m.queued = append(m.queued, j)
-		if _, ok := byID[sj.ID]; ok {
-			byID[sj.ID] = j
+	for _, j := range m.active {
+		if _, ok := byID[int(j.ID)]; ok {
+			byID[int(j.ID)] = j
 		}
 	}
-	m.active = make([]*job.Job, 0, len(st.Active))
-	for _, sj := range st.Active {
-		j := jobOf(sj)
-		m.active = append(m.active, j)
-		if _, ok := byID[sj.ID]; ok {
-			byID[sj.ID] = j
+	for _, dr := range st.Dyn {
+		if byID[dr.JobID] != nil {
+			continue
+		}
+		// The server parks dyn requests for running jobs only; one
+		// naming a queued job would have the cycle change that job
+		// beyond what settle restores.
+		for i := len(m.queued) - 1; i >= 0; i-- {
+			if int(m.queued[i].ID) == dr.JobID {
+				byID[dr.JobID] = m.queued[i]
+				m.keep = false
+				break
+			}
 		}
 	}
 	dyn := append([]proto.SchedDynReq(nil), st.Dyn...)
@@ -295,6 +395,50 @@ func newMirror(st *proto.SchedState) (*mirror, error) {
 	return m, nil
 }
 
+// jobsOf converts pulled job records. An unknown state is an error: a
+// job must not be planned as queued because its state was misread.
+func jobsOf(sjs []proto.SchedJob) ([]*job.Job, error) {
+	jobs := make([]*job.Job, 0, len(sjs))
+	for _, sj := range sjs {
+		st, err := parseState(sj.State)
+		if err != nil {
+			return nil, err
+		}
+		class := job.Rigid
+		if sj.Evolving {
+			class = job.Evolving
+		}
+		jobs = append(jobs, &job.Job{
+			ID:    job.ID(sj.ID),
+			Name:  sj.Name,
+			Cred:  job.Credentials{User: sj.User, Group: sj.Group},
+			Class: class, Cores: sj.Cores, DynCores: sj.DynCores,
+			Walltime:       sim.Duration(sj.WallSecs) * sim.Second,
+			SubmitTime:     sim.Time(sj.SubmitMS),
+			StartTime:      sim.Time(sj.StartMS),
+			State:          st,
+			SystemPriority: sj.SysPrio,
+			Backfilled:     sj.Backfilled,
+		})
+	}
+	return jobs, nil
+}
+
+// settle puts the queued jobs the cycle tried to start back in the
+// state a pull reports for a queued job: queued, not backfilled. The
+// kept queue hands the same objects to the next cycle, and a start the
+// server skips leaves the job queued (one it applies is removed by the
+// next delta). Starting and the backfill mark are the only changes a
+// cycle makes to a queued job. settle reports whether the kept queue
+// may serve the next cycle.
+func (m *mirror) settle() bool {
+	for _, j := range m.tried {
+		j.State = job.Queued
+		j.Backfilled = false
+	}
+	return m.keep
+}
+
 func parseState(s string) (job.State, error) {
 	for _, st := range []job.State{job.Queued, job.Running, job.DynQueued, job.Completed, job.Cancelled, job.Preempted} {
 		if st.String() == s {
@@ -310,15 +454,13 @@ func (m *mirror) ActiveJobs() []*job.Job         { return append([]*job.Job(nil)
 func (m *mirror) DynRequests() []*job.DynRequest { return append([]*job.DynRequest(nil), m.dyn...) }
 
 func (m *mirror) StartJob(j *job.Job) (cluster.Alloc, error) {
+	m.tried = append(m.tried, j)
 	alloc := m.cl.Allocate(j.ID, j.Cores)
 	if alloc == nil {
 		return nil, fmt.Errorf("mauid: mirror cannot place %s", j.ID)
 	}
-	for i, q := range m.queued {
-		if q.ID == j.ID {
-			m.queued = append(m.queued[:i], m.queued[i+1:]...)
-			break
-		}
+	if i := slices.Index(m.queued, j); i >= 0 {
+		m.queued = slices.Delete(m.queued, i, i+1)
 	}
 	j.State = job.Running
 	m.active = append(m.active, j)

@@ -600,7 +600,22 @@ type SchedDynReq struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// SchedState is the full snapshot an external scheduler plans against.
+// SchedPull is the optional sched.pull payload. A scheduler that keeps
+// its queue between cycles names the serial and server incarnation it
+// last saw; the server then sends the queue as a delta against them.
+// A pull without a payload gets a full snapshot, as it always has.
+type SchedPull struct {
+	Since       uint64 `json:"since"`
+	Incarnation uint64 `json:"incarnation"`
+}
+
+// SchedState is the snapshot an external scheduler plans against.
+// Nodes, Active and Dyn are always whole. With Since zero, Queued is
+// the whole queue; otherwise it holds only the jobs that entered the
+// queue after serial Since, in queue order, and Removed names the jobs
+// that were queued at Since and have left the queue since. The queue
+// is in entry order, so applying a delta means dropping Removed and
+// appending Queued.
 type SchedState struct {
 	NowMS  int64         `json:"now_ms"`
 	Nodes  []NodeStatus  `json:"nodes"`
@@ -608,6 +623,11 @@ type SchedState struct {
 	Active []SchedJob    `json:"active"`
 	Dyn    []SchedDynReq `json:"dyn"`
 	Serial uint64        `json:"serial"` // state version for commit validation
+	Since  uint64        `json:"since,omitempty"`
+	// Incarnation identifies the server instance whose serials these
+	// are; it is set only in answer to a SchedPull payload.
+	Incarnation uint64 `json:"incarnation,omitempty"`
+	Removed     []int  `json:"removed,omitempty"`
 }
 
 // SchedAction is one decision in a commit.

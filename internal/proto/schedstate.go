@@ -5,7 +5,8 @@ package proto
 // cycle, and encoding/json's reflection walk dominates the external
 // scheduler's cycle time. The encoder below writes exactly the bytes
 // encoding/json writes (field order, null for nil slices, omitempty on
-// SchedDynReq, strconv integers, and appendString's rule for strings),
+// SchedDynReq and on the delta fields Since, Incarnation and Removed,
+// strconv integers, and appendString's rule for strings),
 // so neither wire version nor any peer sees a difference. The decoder
 // accepts only that canonical form and reports anything else —
 // whitespace, escapes, reordered or unknown keys, non-integer numbers,
@@ -49,7 +50,7 @@ func appendSchedState(buf *bytes.Buffer, payload any) (bool, error) {
 // schedStateSizeHint estimates the encoded size so a large snapshot is
 // written into one allocation instead of a chain of doublings.
 func schedStateSizeHint(st *SchedState) int {
-	return 128 + 64*len(st.Nodes) + 224*(len(st.Queued)+len(st.Active)) + 64*len(st.Dyn)
+	return 160 + 64*len(st.Nodes) + 224*(len(st.Queued)+len(st.Active)) + 64*len(st.Dyn) + 8*len(st.Removed)
 }
 
 // appendSchedStateJSON appends the encoding/json encoding of st to b.
@@ -127,6 +128,24 @@ func appendSchedStateJSON(b []byte, st *SchedState) ([]byte, error) {
 	}
 	b = append(b, `,"serial":`...)
 	b = strconv.AppendUint(b, st.Serial, 10)
+	if st.Since != 0 {
+		b = append(b, `,"since":`...)
+		b = strconv.AppendUint(b, st.Since, 10)
+	}
+	if st.Incarnation != 0 {
+		b = append(b, `,"incarnation":`...)
+		b = strconv.AppendUint(b, st.Incarnation, 10)
+	}
+	if len(st.Removed) != 0 {
+		b = append(b, `,"removed":[`...)
+		for i, id := range st.Removed {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(id), 10)
+		}
+		b = append(b, ']')
+	}
 	return append(b, '}'), nil
 }
 
@@ -199,6 +218,18 @@ func decodeSchedState(data []byte, st *SchedState) bool {
 	out.Dyn = decodeList(&d, len(`{"job_id":0,"seq":0}`), decodeDynReq)
 	d.lit(`,"serial":`)
 	out.Serial = d.digits()
+	if d.opt(`,"since":`) {
+		out.Since = d.nonZeroDigits()
+	}
+	if d.opt(`,"incarnation":`) {
+		out.Incarnation = d.nonZeroDigits()
+	}
+	if d.opt(`,"removed":`) {
+		// omitempty: a present list is never null or empty.
+		if out.Removed = decodeList(&d, len(`0`), decodeInt); len(out.Removed) == 0 {
+			d.bad = true
+		}
+	}
 	d.lit(`}`)
 	if d.bad || len(d.b) != 0 {
 		return false
@@ -252,6 +283,8 @@ func decodeSchedJob(d *schedDecoder, j *SchedJob) {
 	j.Backfilled = d.bool()
 	d.lit(`}`)
 }
+
+func decodeInt(d *schedDecoder, v *int) { *v = int(d.int(strconv.IntSize)) }
 
 // decodeDynReq reads a SchedDynReq; the omitempty fields are present
 // only when non-zero, so an explicit zero is not canonical.
@@ -310,6 +343,16 @@ func (d *schedDecoder) nonZero(v int64) int64 {
 		d.bad = true
 	}
 	return v
+}
+
+// nonZeroDigits reads an omitempty unsigned field, which is present
+// only when non-zero.
+func (d *schedDecoder) nonZeroDigits() uint64 {
+	u := d.digits()
+	if u == 0 {
+		d.bad = true
+	}
+	return u
 }
 
 // digits reads a canonical unsigned integer (or the magnitude of a
@@ -450,6 +493,6 @@ func decodeList[T any](d *schedDecoder, minLen int, elem func(*schedDecoder, *T)
 // the direct decoder fills (a non-zero one must merge, which is
 // json.Unmarshal's business).
 func (st *SchedState) isZero() bool {
-	return st.NowMS == 0 && st.Serial == 0 &&
-		st.Nodes == nil && st.Queued == nil && st.Active == nil && st.Dyn == nil
+	return st.NowMS == 0 && st.Serial == 0 && st.Since == 0 && st.Incarnation == 0 &&
+		st.Nodes == nil && st.Queued == nil && st.Active == nil && st.Dyn == nil && st.Removed == nil
 }

@@ -32,6 +32,8 @@ func codecStates() []SchedState {
 				{JobID: 3, PPN: math.MinInt32, DeadlineMS: math.MaxInt64},
 			},
 		},
+		{Serial: 9, Since: 5, Incarnation: math.MaxUint64, Removed: []int{3, -1, math.MinInt32, 0}},
+		{Serial: 9, Since: 1, Removed: []int{}},
 	}
 }
 
@@ -87,7 +89,7 @@ func TestSchedStateDecodeMatchesJSON(t *testing.T) {
 	for i, s := range codecStates() {
 		b, _ := json.Marshal(s)
 		checkDecodeMatchesJSON(t, b)
-		if i < 2 && !decodeSchedState(b, new(SchedState)) {
+		if (i < 2 || i == 3) && !decodeSchedState(b, new(SchedState)) {
 			t.Errorf("state %d: direct decoder refused canonical %s", i, b)
 		}
 	}
@@ -116,6 +118,12 @@ func TestSchedStateDecodeMatchesJSON(t *testing.T) {
 		"truncated":      c[:len(c)-1],
 		"trailing comma": strings.Replace(c, `}],"active"`, `},],"active"`, 1),
 		"bool as int":    strings.Replace(c, `"evolving":false`, `"evolving":0`, 1),
+		"zero since":     strings.Replace(c, `"serial":9}`, `"serial":9,"since":0}`, 1),
+		"zero inc":       strings.Replace(c, `"serial":9}`, `"serial":9,"incarnation":0}`, 1),
+		"null removed":   strings.Replace(c, `"serial":9}`, `"serial":9,"removed":null}`, 1),
+		"empty removed":  strings.Replace(c, `"serial":9}`, `"serial":9,"removed":[]}`, 1),
+		"removed first":  strings.Replace(c, `"serial":9}`, `"serial":9,"removed":[1],"since":2}`, 1),
+		"delta":          strings.Replace(c, `"serial":9}`, `"serial":9,"since":2,"incarnation":3,"removed":[1,-2]}`, 1),
 	}
 	for name, v := range variants {
 		t.Run(name, func(t *testing.T) { checkDecodeMatchesJSON(t, []byte(v)) })
@@ -211,17 +219,20 @@ func FuzzSchedStateJSON(f *testing.F) {
 		Dyn:    []SchedDynReq{{JobID: 3, Cores: 1, Seq: 1}},
 	})
 	p := string(plain)
-	f.Add("n0", "alice", "queued", int64(1), int64(-1), uint64(0), uint8(0), plain)
-	f.Add("\xff\xfe", "a<b>&c", "q\"\\\x00", int64(math.MinInt64), int64(math.MaxInt64), uint64(math.MaxUint64), uint8(0xff), canon)
-	f.Add("ü☃", "\u2028", "\x7f", int64(1)<<40, int64(-1)<<40, uint64(1)<<63, uint8(0x55), []byte(strings.Replace(p, ":1,", ": 1,", 1)))
-	f.Add("", "", "", int64(0), int64(0), uint64(0), uint8(0xaa), []byte(strings.Replace(p, `"j"`, `"\u006a"`, 1)))
-	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), []byte(strings.Replace(p, `"now_ms":1`, `"now_ms":-0`, 1)))
-	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), []byte(strings.Replace(p, `"serial":2`, `"serial":18446744073709551616`, 1)))
-	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), []byte(strings.Replace(p, `"j"`, "\"\xc3\"", 1)))
-	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), []byte(strings.Replace(p, `"cores":1,"seq"`, `"cores":0,"seq"`, 1)))
-	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), []byte(`{"now_ms":1,"nodes":null,"queued":[],"active":null,"dyn":null,"serial":0}`))
-	f.Fuzz(func(t *testing.T, name, user, state string, a, b int64, serial uint64, flags uint8, raw []byte) {
+	f.Add("n0", "alice", "queued", int64(1), int64(-1), uint64(0), uint8(0), uint64(0), uint8(0), plain)
+	f.Add("\xff\xfe", "a<b>&c", "q\"\\\x00", int64(math.MinInt64), int64(math.MaxInt64), uint64(math.MaxUint64), uint8(0xff), uint64(math.MaxUint64), uint8(0xff), canon)
+	f.Add("ü☃", "\u2028", "\x7f", int64(1)<<40, int64(-1)<<40, uint64(1)<<63, uint8(0x55), uint64(3), uint8(2), []byte(strings.Replace(p, ":1,", ": 1,", 1)))
+	f.Add("", "", "", int64(0), int64(0), uint64(0), uint8(0xaa), uint64(0), uint8(4), []byte(strings.Replace(p, `"j"`, `"\u006a"`, 1)))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(0), uint8(0), []byte(strings.Replace(p, `"now_ms":1`, `"now_ms":-0`, 1)))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(0), uint8(0), []byte(strings.Replace(p, `"serial":2`, `"serial":18446744073709551616`, 1)))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(0), uint8(0), []byte(strings.Replace(p, `"j"`, "\"\xc3\"", 1)))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(0), uint8(0), []byte(strings.Replace(p, `"cores":1,"seq"`, `"cores":0,"seq"`, 1)))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(0), uint8(0), []byte(`{"now_ms":1,"nodes":null,"queued":[],"active":null,"dyn":null,"serial":0}`))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(1), uint8(3), []byte(strings.Replace(p, `"serial":2}`, `"serial":2,"since":1,"removed":[4,-5]}`, 1)))
+	f.Add("x", "y", "z", int64(7), int64(-7), uint64(7), uint8(3), uint64(1), uint8(3), []byte(strings.Replace(p, `"serial":2}`, `"serial":2,"removed":[]}`, 1)))
+	f.Fuzz(func(t *testing.T, name, user, state string, a, b int64, serial uint64, flags uint8, since uint64, delta uint8, raw []byte) {
 		st := fuzzState(name, user, state, a, b, serial, flags)
+		addDelta(&st, a, b, since, delta)
 		want, err := json.Marshal(st)
 		if err != nil {
 			t.Fatal(err)
@@ -247,6 +258,22 @@ func FuzzSchedStateJSON(f *testing.F) {
 			t.Fatalf("decode of %q:\n direct %+v\n stdlib %+v", raw, direct, std)
 		}
 	})
+}
+
+// addDelta sets the delta fields from the fuzzed values: since and a
+// derived incarnation (zero or not), and delta's low bits choose a nil,
+// empty or one- to three-entry Removed list.
+func addDelta(st *SchedState, a, b int64, since uint64, delta uint8) {
+	st.Since = since
+	if delta&8 != 0 {
+		st.Incarnation = since ^ uint64(b)
+	}
+	if delta&4 != 0 {
+		st.Removed = []int{}
+	}
+	for i := 0; i < int(delta&3); i++ {
+		st.Removed = append(st.Removed, int(a)>>i^int(b))
+	}
 }
 
 // fuzzState spreads the fuzzed fields over every SchedState field;

@@ -47,7 +47,7 @@ func TestSchedPullSnapshotContents(t *testing.T) {
 	waitFor(t, 3*time.Second, func() bool { return jobState(srv, runID) == "running" }, "runner up")
 	qID, _ := srv.QSub(proto.JobSpec{Name: "q", User: "v", Cores: 99, WallSecs: 60, Script: "sleep:1m"})
 
-	st := srv.snapshot()
+	st := srv.snapshot(nil)
 	if len(st.Nodes) != 2 {
 		t.Errorf("nodes = %d", len(st.Nodes))
 	}

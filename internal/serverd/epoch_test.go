@@ -2,6 +2,7 @@ package serverd
 
 import (
 	"net"
+	"reflect"
 	"testing"
 	"time"
 
@@ -41,14 +42,27 @@ func TestDispatchRollbackAdvancesEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	before := srv.snapshot(nil).Queued
 	srv.mu.Lock()
-	defer srv.mu.Unlock()
 	rm := (*serverRM)(srv)
 	j := srv.jobs[id].j
 	e0, q0 := rm.StateEpoch(), rm.QueueEpoch()
 	if _, err := rm.StartJob(j); err == nil {
 		t.Fatal("dispatch over a dead mom link must fail")
 	}
+	srv.mu.Unlock()
+	// The rolled-back job is the queued job it was: same snapshot
+	// record (no start time), no hosts in qstat.
+	if after := srv.snapshot(nil).Queued; !reflect.DeepEqual(after, before) {
+		t.Errorf("snapshot record after the rollback\n %+v\nwant the record before dispatch\n %+v", after, before)
+	}
+	for _, js := range srv.QStat().Jobs {
+		if js.ID == id && (len(js.Hosts) != 0 || js.State != "queued") {
+			t.Errorf("qstat after the rollback: %+v", js)
+		}
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
 	if j.State != job.Queued || len(srv.queued) != 1 || len(srv.active) != 0 {
 		t.Fatalf("rollback incomplete: state=%v queued=%d active=%d",
 			j.State, len(srv.queued), len(srv.active))

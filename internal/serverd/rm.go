@@ -37,7 +37,8 @@ func (r *serverRM) QueueEpoch() uint64 { return r.qserial }
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) Cluster() *cluster.Cluster { return r.cl }
 
-// QueuedJobs returns the queued jobs in submission order.
+// QueuedJobs returns the queued jobs in entry order (a requeued job
+// re-enters at the end).
 //
 //lint:locked serverRM methods run with s.mu held (schedLoop, applyCommit, dynGet)
 func (r *serverRM) QueuedJobs() []*job.Job {
@@ -107,19 +108,13 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		s.cl.Release(j.ID)
 		return nil, fmt.Errorf("serverd: mother superior %s unreachable", hosts[0].Node)
 	}
-	for i, q := range s.queued {
-		if q.ID == j.ID {
-			s.queued = append(s.queued[:i], s.queued[i+1:]...)
-			break
-		}
-	}
 	j.State = job.Running
 	j.StartTime = s.now()
 	s.active[int(j.ID)] = j
 	ji.hosts = hosts
 	ji.msNode = hosts[0].Node
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpQueueLocked()
+	s.dequeueLocked(j)
 	// Walltime enforcement.
 	wall := sim.ToReal(j.Walltime)
 	id := int(j.ID)
@@ -133,17 +128,21 @@ func (r *serverRM) StartJob(j *job.Job) (cluster.Alloc, error) {
 		s.Kick()
 	})
 	if err := ms.conn.Send(proto.TRunJob, proto.RunJobReq{JobID: id, Spec: ji.spec, Hosts: hosts}); err != nil {
-		// Mom link failed mid-dispatch: roll back. The rollback is a
-		// second round of mutations after the dispatch bump, so it
-		// needs its own — without it a scheduler cache validated
-		// against the dispatch epoch would keep serving the job as
-		// started when it is in fact back in the queue.
+		// Mom link failed mid-dispatch: roll back to exactly the
+		// queued record the job had. The re-entry is a second round of
+		// mutations after the dispatch bump, so it needs its own —
+		// without it a scheduler cache validated against the dispatch
+		// epoch would keep serving the job as started when it is in
+		// fact back in the queue.
 		ji.killTimer.Stop()
 		s.cl.Release(j.ID)
 		delete(s.active, id)
 		j.State = job.Queued
-		s.queued = append(s.queued, j)
-		s.bumpQueueLocked()
+		j.StartTime = 0
+		ji.hosts = nil
+		ji.msNode = ""
+		s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
+		s.enqueueLocked(j)
 		return nil, fmt.Errorf("serverd: dispatch to %s: %w", hosts[0].Node, err)
 	}
 	s.logf("job %d started on %s (ms=%s)", id, cluster.Alloc(alloc).String(), ji.msNode)
@@ -225,29 +224,60 @@ func (r *serverRM) Preempt(j *job.Job) error {
 	j.Backfilled = false
 	ji.hosts = nil
 	ji.msNode = ""
-	s.queued = append(s.queued, j)
 	s.rec.ObserveUsage(s.now(), s.cl.UsedCores())
-	s.bumpQueueLocked()
+	s.enqueueLocked(j)
 	s.logf("job %d preempted and requeued", j.ID)
 	return nil
 }
 
 // --- external scheduler protocol ---
 
-// snapshot renders the scheduler state for a sched.pull.
-func (s *Server) snapshot() proto.SchedState {
+// snapshot renders the scheduler state for a sched.pull. Nodes, active
+// jobs and dyn requests are always whole. The queue is a delta against
+// pull.Since when the server can serve one: the pull names this
+// server's incarnation, and Since is neither older than the removal log
+// nor ahead of the serial. Otherwise Since is 0 and the queue is whole,
+// because a full snapshot is the delta against serial 0. A nil pull
+// (no payload) is answered without the incarnation, in exactly the
+// bytes a full snapshot always had.
+func (s *Server) snapshot(pull *proto.SchedPull) proto.SchedState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var since uint64
+	if pull != nil && pull.Incarnation == s.incarnation && pull.Since >= s.exitFloor && pull.Since <= s.serial {
+		since = pull.Since
+	}
+	// Entry serials rise along the queue, so the jobs added since are
+	// a suffix.
+	added := s.queued
+	if since > 0 {
+		at := s.queuedAt
+		added = added[sort.Search(len(at), func(k int) bool { return at[k] > since }):]
+	}
 	nodes := s.cl.Nodes()
 	active := (*serverRM)(s).ActiveJobs()
 	// Presized lists keep growslice out of the s.mu hold; an empty one
 	// stays nil so the wire still reads null.
 	st := proto.SchedState{
-		NowMS: int64(s.now()), Serial: s.serial,
+		NowMS: int64(s.now()), Serial: s.serial, Since: since,
 		Nodes:  slices.Grow([]proto.NodeStatus(nil), len(nodes)),
-		Queued: slices.Grow([]proto.SchedJob(nil), len(s.queued)),
+		Queued: slices.Grow([]proto.SchedJob(nil), len(added)),
 		Active: slices.Grow([]proto.SchedJob(nil), len(active)),
 		Dyn:    slices.Grow([]proto.SchedDynReq(nil), len(s.dyn)),
+	}
+	if pull != nil {
+		st.Incarnation = s.incarnation
+	}
+	if since > 0 {
+		// Only jobs the scheduler holds are named: those that entered
+		// by Since. A job that came and went after it is news to
+		// nobody.
+		exits := s.exits
+		for _, e := range exits[sort.Search(len(exits), func(k int) bool { return exits[k].serial > since }):] {
+			if e.enq <= since {
+				st.Removed = append(st.Removed, e.id)
+			}
+		}
 	}
 	for _, n := range nodes {
 		st.Nodes = append(st.Nodes, proto.NodeStatus{
@@ -264,7 +294,7 @@ func (s *Server) snapshot() proto.SchedState {
 			Backfilled: j.Backfilled,
 		}
 	}
-	for _, j := range s.queued {
+	for _, j := range added {
 		st.Queued = append(st.Queued, conv(j))
 	}
 	for _, j := range active {

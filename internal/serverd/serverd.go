@@ -15,8 +15,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -144,7 +146,7 @@ type Server struct {
 	nodeByID map[int]*nodeInfo        // guarded by mu
 	pending  map[*proto.Conn]struct{} // pre-classification conns; guarded by mu
 	jobs     map[int]*jobInfo         // guarded by mu
-	queued   []*job.Job               // guarded by mu //schedlint:epoch-guarded by bumpQueueLocked
+	queued   []*job.Job               // guarded by mu; in entry order //schedlint:epoch-guarded by bumpQueueLocked
 	active   map[int]*job.Job         // guarded by mu //schedlint:epoch-guarded by bumpLocked
 	dyn      []*job.DynRequest        // guarded by mu //schedlint:epoch-guarded by bumpLocked
 	dynSeq   int                      // guarded by mu
@@ -152,6 +154,20 @@ type Server struct {
 	serial   uint64                   // guarded by mu
 	qserial  uint64                   // guarded by mu
 	rec      *metrics.Recorder        // guarded by mu
+
+	// queuedAt[i] is the serial at which queued[i] entered the queue.
+	// It lives beside the queue rather than in jobInfo, which it would
+	// push into the next allocation size class.
+	queuedAt []uint64 // guarded by mu
+	// exits is the removal log that delta pulls read, oldest first.
+	// exitFloor is the serial of the newest entry trimmed from it: a
+	// pull since an older serial gets the whole queue.
+	exits     []queueExit // guarded by mu
+	exitFloor uint64      // guarded by mu
+	// incarnation names this server's serial history in delta pulls,
+	// so a scheduler is never diffed against another server's queue.
+	// Fixed at New.
+	incarnation uint64
 
 	kick   chan struct{}
 	closed chan struct{} //schedlint:chan-owner Close
@@ -176,18 +192,19 @@ func New(opts Options) *Server {
 		opts.BeaconRingSize = 1 << 16
 	}
 	return &Server{
-		opts:       opts,
-		cl:         cluster.New(0, 0),
-		nodes:      make(map[string]*nodeInfo),
-		nodeByID:   make(map[int]*nodeInfo),
-		jobs:       make(map[int]*jobInfo),
-		active:     make(map[int]*job.Job),
-		pending:    make(map[*proto.Conn]struct{}),
-		handshakes: make(chan struct{}, opts.MaxHandshakes),
-		nextID:     1,
-		rec:        metrics.NewRecorder(0),
-		kick:       make(chan struct{}, 1),
-		closed:     make(chan struct{}),
+		opts:        opts,
+		cl:          cluster.New(0, 0),
+		nodes:       make(map[string]*nodeInfo),
+		nodeByID:    make(map[int]*nodeInfo),
+		jobs:        make(map[int]*jobInfo),
+		active:      make(map[int]*job.Job),
+		pending:     make(map[*proto.Conn]struct{}),
+		handshakes:  make(chan struct{}, opts.MaxHandshakes),
+		nextID:      1,
+		incarnation: nextIncarnation(),
+		rec:         metrics.NewRecorder(0),
+		kick:        make(chan struct{}, 1),
+		closed:      make(chan struct{}),
 	}
 }
 
@@ -279,6 +296,73 @@ func (s *Server) Kick() {
 	select {
 	case s.kick <- struct{}{}:
 	default:
+	}
+}
+
+// lastIncarnation is the newest incarnation id issued in this process.
+var lastIncarnation atomic.Uint64
+
+// nextIncarnation returns a fresh non-zero incarnation id: the wall
+// clock in nanoseconds, moved past any id this process already issued,
+// so neither a restarted process nor a second server in one process
+// repeats an id.
+//
+//lint:wallclock an incarnation id only has to differ from earlier ones
+func nextIncarnation() uint64 {
+	now := uint64(time.Now().UnixNano())
+	for {
+		last := lastIncarnation.Load()
+		next := max(now, last+1)
+		if lastIncarnation.CompareAndSwap(last, next) {
+			return next
+		}
+	}
+}
+
+// queueExit is one removal-log entry: job id left the queue at serial
+// after entering it at enq.
+type queueExit struct {
+	serial, enq uint64
+	id          int
+}
+
+// exitSlack is how many removal-log entries beyond the queue length
+// are kept, so a scheduler a few changes behind a short queue still
+// gets a delta.
+const exitSlack = 64
+
+// enqueueLocked appends a job to the queue, which is therefore always
+// in entry order, and records the serial at which it entered: a delta
+// pull finds the jobs added since a serial by binary search. Caller
+// holds s.mu.
+func (s *Server) enqueueLocked(j *job.Job) {
+	s.queued = append(s.queued, j)
+	s.bumpQueueLocked()
+	s.queuedAt = append(s.queuedAt, s.serial)
+}
+
+// dequeueLocked removes a queued job and logs the removal for delta
+// pulls. The log is trimmed from the front once it outgrows the queue
+// by exitSlack; a scheduler that far behind is sent the whole queue.
+// Caller holds s.mu.
+func (s *Server) dequeueLocked(j *job.Job) {
+	i := slices.Index(s.queued, j)
+	var enq uint64
+	if i >= 0 {
+		enq = s.queuedAt[i]
+		s.queued = slices.Delete(s.queued, i, i+1)
+		s.queuedAt = slices.Delete(s.queuedAt, i, i+1)
+	}
+	// The bump is unconditional: it also covers the caller's own
+	// writes.
+	s.bumpQueueLocked()
+	if i < 0 {
+		return
+	}
+	s.exits = append(s.exits, queueExit{serial: s.serial, enq: enq, id: int(j.ID)})
+	if n := len(s.exits) - len(s.queued) - exitSlack; n > 0 {
+		s.exitFloor = s.exits[n-1].serial
+		s.exits = s.exits[n:]
 	}
 }
 
@@ -407,7 +491,14 @@ func (s *Server) handleConn(c *proto.Conn) {
 		}
 		s.reply(c, proto.TOK, nil)
 	case proto.TSchedPull:
-		s.reply(c, proto.TSchedState, s.snapshot())
+		// A pull without a payload (an older scheduler) gets the full
+		// snapshot it always got.
+		var pull proto.SchedPull
+		if env.Decode(&pull) != nil {
+			s.reply(c, proto.TSchedState, s.snapshot(nil))
+		} else {
+			s.reply(c, proto.TSchedState, s.snapshot(&pull))
+		}
 	case proto.TSchedCommit:
 		var commit proto.SchedCommit
 		resp := proto.SchedCommitResp{}
@@ -673,9 +764,8 @@ func (s *Server) QSub(spec proto.JobSpec) (int, error) {
 		fsID = s.opts.Sched.Fairshare().UserID(j.Cred.User)
 	}
 	s.jobs[id] = &jobInfo{j: j, spec: spec, fsID: fsID}
-	s.queued = append(s.queued, j)
+	s.enqueueLocked(j)
 	s.rec.ObserveSubmit(j.SubmitTime)
-	s.bumpQueueLocked()
 	s.mu.Unlock()
 	s.logf("qsub job=%d user=%s cores=%d wall=%ds", id, spec.User, cores, spec.WallSecs)
 	s.Kick()
@@ -731,13 +821,7 @@ func (s *Server) killLocked(ji *jobInfo, why string) {
 	j := ji.j
 	switch {
 	case j.State == job.Queued:
-		for i, q := range s.queued {
-			if q.ID == j.ID {
-				s.queued = append(s.queued[:i], s.queued[i+1:]...)
-				break
-			}
-		}
-		s.bumpQueueLocked()
+		s.dequeueLocked(j)
 	case j.Active():
 		s.dropDynLocked(int(j.ID))
 		s.cl.Release(j.ID)
